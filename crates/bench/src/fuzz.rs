@@ -2,14 +2,11 @@
 //!
 //! [`gen::generate`](xcache_isa::gen::generate) produces verifier-clean
 //! walker programs from a `u64` seed; this module executes them on a
-//! synthetic workload and checks the simulator's two central invariances
+//! synthetic workload and checks the simulator's central invariances
 //! against them:
 //!
 //! * **skip differential** — idle-cycle fast-forwarding on vs off must
 //!   leave every observable byte-identical ([`skip_differential`]);
-//! * **scheduler differential** — the timing-wheel scheduler vs the
-//!   fold-based reference (`XCACHE_SCHED=scan`) must steer simulated time
-//!   identically ([`sched_differential`]);
 //! * **exec differential** — the macro-step engine (fused
 //!   superinstructions, batched dispatch, epoch-aggregated stats) vs the
 //!   micro-step reference (`XCACHE_EXEC=micro`) must leave every
@@ -35,12 +32,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xcache_core::{splitmix64, MetaAccess, MetaKey, XCache, XCacheConfig};
+use xcache_dsa::common::drive;
 use xcache_isa::gen;
 use xcache_isa::{EventId, StateId};
 use xcache_mem::{DramConfig, DramModel, MainMemory};
-use xcache_sim::{
-    with_exec_mode, with_sched_mode, with_skip, Cycle, ExecMode, SchedMode, StatsSnapshot,
-};
+use xcache_sim::{with_exec_mode, with_skip, Cycle, ExecMode, StatsSnapshot};
 
 use crate::runner::{Runner, Scenario};
 
@@ -142,35 +138,14 @@ pub fn run_seed(seed: u64, accesses: usize) -> FuzzReport {
     let mut xc = XCache::new(cfg, program, dram).expect("generated program is verifier-clean");
 
     let mut now = Cycle(0);
-    let mut next = 0usize;
-    let mut done = 0usize;
     let mut checksum = 0u64;
-    let total = stream.len();
-    let max_cycles = 2_000 * total as u64 + 1_000_000;
-    while done < total {
-        while next < total && xc.can_accept() {
-            xc.try_access(now, stream[next])
-                .expect("can_accept checked");
-            next += 1;
-        }
-        xc.tick(now);
-        while let Some(resp) = xc.take_response(now) {
-            checksum = checksum
-                .wrapping_add(splitmix64(resp.id ^ u64::from(resp.found)))
-                .wrapping_add(resp.data.iter().fold(0u64, |a, &w| a.wrapping_add(w)));
-            done += 1;
-        }
-        now = if done >= total {
-            now.next()
-        } else {
-            let mut wake = xc.next_event(now);
-            if next < total && xc.can_accept() {
-                wake = Some(now.next());
-            }
-            xcache_sim::fast_forward(now, wake)
-        };
-        assert!(now.raw() < max_cycles, "fuzz seed {seed} deadlocked");
-    }
+    let max_cycles = 2_000 * stream.len() as u64 + 1_000_000;
+    drive(&mut xc, &mut now, stream.into_iter(), max_cycles, |resp| {
+        checksum = checksum
+            .wrapping_add(splitmix64(resp.id ^ u64::from(resp.found)))
+            .wrapping_add(resp.data.iter().fold(0u64, |a, &w| a.wrapping_add(w)));
+    })
+    .unwrap_or_else(|e| panic!("fuzz seed {seed} deadlocked: {e}"));
     let mut stats = xc.stats().clone();
     stats.merge(xc.downstream().stats());
     FuzzReport {
@@ -200,34 +175,6 @@ pub fn skip_differential(seed: u64, accesses: usize) -> Result<String, String> {
     } else {
         Err(format!(
             "seed {seed}: skip and no-skip runs diverged\n  skip:    {fast}\n  no-skip: {slow}"
-        ))
-    }
-}
-
-/// Runs `seed` under the timing-wheel scheduler and under the fold-based
-/// reference scheduler (`XCACHE_SCHED=scan`) — both with fast-forwarding
-/// on, where the schedulers actually steer time — and demands
-/// byte-identical reports. Returns the canonical JSON on agreement.
-///
-/// Like [`skip_differential`], this uses the thread-local override, so
-/// call it on the thread that owns the comparison.
-///
-/// # Errors
-///
-/// Returns `Err` with both renderings when the runs diverge.
-pub fn sched_differential(seed: u64, accesses: usize) -> Result<String, String> {
-    let wheel = with_sched_mode(SchedMode::Wheel, || {
-        with_skip(true, || run_seed(seed, accesses))
-    });
-    let scan = with_sched_mode(SchedMode::Scan, || {
-        with_skip(true, || run_seed(seed, accesses))
-    });
-    let (wheel, scan) = (wheel.stats_json(), scan.stats_json());
-    if wheel == scan {
-        Ok(wheel)
-    } else {
-        Err(format!(
-            "seed {seed}: wheel and scan schedulers diverged\n  wheel: {wheel}\n  scan:  {scan}"
         ))
     }
 }

@@ -54,7 +54,7 @@ pub trait MetaPort {
 
     /// Earliest cycle strictly after `now` at which `tick` could do
     /// observable work, or `None` when idle with nothing scheduled. Same
-    /// contract as [`Component::next_event`](xcache_sim::Component::next_event).
+    /// contract as [`fast_forward`](xcache_sim::fast_forward)'s `next_event`.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now.next())
     }

@@ -1,12 +1,16 @@
 //! Shared DSA-model infrastructure.
 //!
 //! Every evaluated configuration produces a [`RunReport`] (cycles +
-//! merged statistics); the address-cache and hardwired-baseline variants
-//! are expressed as [`ProbeTask`] state machines driven by the
-//! [`ProbeEngine`], which models a DSA datapath with a fixed number of
-//! concurrent walk units issuing memory transactions with zero-cost
-//! ("ideal walker", §8) orchestration decisions.
+//! merged statistics). A single X-Cache instance is driven through
+//! [`drive`]: the DSA side is just a stream of meta accesses plus an
+//! action per response, as in the paper's meta-access interface. The
+//! address-cache and hardwired-baseline variants are expressed as
+//! [`ProbeTask`] state machines driven by the [`ProbeEngine`], which
+//! models a DSA datapath with a fixed number of concurrent walk units
+//! issuing memory transactions with zero-cost ("ideal walker", §8)
+//! orchestration decisions.
 
+use xcache_core::{MetaAccess, MetaResp, XCache};
 use xcache_mem::{MainMemory, MemReq, MemoryPort};
 use xcache_sim::{counter, Cycle, Stats, StatsSnapshot};
 
@@ -43,6 +47,61 @@ impl RunReport {
     pub fn speedup_over(&self, other: &RunReport) -> f64 {
         other.cycles as f64 / self.cycles.max(1) as f64
     }
+}
+
+/// Drives `accesses` through one X-Cache instance until every one is
+/// answered, starting at `*now` and leaving `*now` one cycle past the
+/// cycle of the last response (the single-stepped end cycle). An empty
+/// stream leaves `*now` unchanged.
+///
+/// Each cycle issues as many accesses as the controller accepts, ticks it,
+/// and hands every response to `on_resp` before recycling its buffer.
+/// Time then advances by one cycle when the stream is finished or more
+/// accesses are issuable, and fast-forwards to the controller's next
+/// event otherwise (the `next_event` query is skipped when it cannot
+/// matter).
+///
+/// # Errors
+///
+/// Returns `Err` naming answered/total once `max_cycles` have passed since
+/// the call started.
+///
+/// # Panics
+///
+/// Panics if the controller rejects an access after `can_accept`.
+pub fn drive<D: MemoryPort>(
+    xc: &mut XCache<D>,
+    now: &mut Cycle,
+    mut accesses: impl ExactSizeIterator<Item = MetaAccess>,
+    max_cycles: u64,
+    mut on_resp: impl FnMut(&MetaResp),
+) -> Result<(), String> {
+    let total = accesses.len();
+    let started = *now;
+    let mut done = 0usize;
+    while done < total {
+        while accesses.len() > 0 && xc.can_accept() {
+            let access = accesses.next().expect("len checked");
+            xc.try_access(*now, access).expect("can_accept checked");
+        }
+        xc.tick(*now);
+        while let Some(resp) = xc.take_response(*now) {
+            on_resp(&resp);
+            xc.recycle(resp);
+            done += 1;
+        }
+        *now = if done >= total || (accesses.len() > 0 && xc.can_accept()) {
+            now.next()
+        } else {
+            xcache_sim::fast_forward(*now, xc.next_event(*now))
+        };
+        if now.since(started) >= max_cycles {
+            return Err(format!(
+                "exceeded {max_cycles} cycles with {done}/{total} accesses answered"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// What a probe task wants to do next.
@@ -158,7 +217,7 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
 
     /// Earliest cycle strictly after `now` at which `tick` could do
     /// observable work (same contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event);
+    /// [`fast_forward`](xcache_sim::fast_forward)'s `next_event`;
     /// queried after `tick(now)`).
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -275,6 +334,7 @@ impl<D: MemoryPort, T: ProbeTask> ProbeEngine<D, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcache_core::{MetaKey, XCacheConfig};
     use xcache_mem::{DramConfig, DramModel};
 
     /// Walks a unary linked list of `hops` nodes starting at `start`.
@@ -297,6 +357,66 @@ mod tests {
                 len: 8,
             }
         }
+    }
+
+    /// A GraphPulse event queue on the tiny geometry: stores answer
+    /// on-chip, with no DRAM traffic.
+    fn event_queue() -> XCache<DramModel> {
+        let dram = DramModel::new(DramConfig::test_tiny());
+        XCache::new(XCacheConfig::test_tiny(), crate::graphpulse::walker(), dram)
+            .expect("valid event queue")
+    }
+
+    fn stores(n: u32) -> impl ExactSizeIterator<Item = MetaAccess> {
+        (0..n).map(|i| MetaAccess::Store {
+            id: u64::from(i),
+            key: MetaKey::new(u64::from(i % 3)),
+            payload: [u64::from(i), 0],
+        })
+    }
+
+    #[test]
+    fn drive_ends_one_cycle_past_the_last_response() {
+        // Single-stepped reference: the cycle of the last response.
+        let mut xc = event_queue();
+        let mut pending = stores(8).peekable();
+        let (mut answered, mut last) = (0, 0);
+        for t in 0..10_000 {
+            while pending.peek().is_some() && xc.can_accept() {
+                let access = pending.next().expect("peeked");
+                xc.try_access(Cycle(t), access).expect("can_accept checked");
+            }
+            xc.tick(Cycle(t));
+            while xc.take_response(Cycle(t)).is_some() {
+                answered += 1;
+                last = t;
+            }
+            if answered == 8 {
+                break;
+            }
+        }
+        assert_eq!(answered, 8);
+
+        let mut xc = event_queue();
+        let mut now = Cycle(0);
+        let mut seen = 0;
+        drive(&mut xc, &mut now, stores(8), 10_000, |_| seen += 1).unwrap();
+        assert_eq!(seen, 8);
+        assert_eq!(now, Cycle(last + 1));
+
+        // An empty stream does nothing, not even a tick.
+        let mut now = Cycle(7);
+        drive(&mut xc, &mut now, stores(0), 10_000, |_| seen += 1).unwrap();
+        assert_eq!((now, seen), (Cycle(7), 8));
+    }
+
+    #[test]
+    fn drive_reports_answered_of_total_at_the_cycle_bound() {
+        let mut xc = event_queue();
+        let mut now = Cycle(100);
+        let err = drive(&mut xc, &mut now, stores(4), 2, |_| {}).unwrap_err();
+        assert_eq!(err, "exceeded 2 cycles with 0/4 accesses answered");
+        assert_eq!(now, Cycle(102));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use xcache_sim::{run_horizons, Cycle, Stats};
 use xcache_workloads::hashidx::NODE_BYTES;
 use xcache_workloads::{HashIndex, TpchPreset};
 
-use crate::common::{apply_image, ProbeTask, RunReport, TaskStep};
+use crate::common::{apply_image, drive, ProbeTask, RunReport, TaskStep};
 
 /// A materialised Widx workload.
 #[derive(Debug, Clone)]
@@ -248,44 +248,23 @@ fn drive_xcache(
     let mut xc = XCache::new(cfg, program, dram).expect("valid widx instance");
 
     let mut now = Cycle(0);
-    let mut next = 0usize;
-    let mut done = 0usize;
     let mut checksum = 0u64;
-    let total = workload.probes.len();
-    let max_cycles = 2_000 * total as u64 + 1_000_000;
-    while done < total {
-        // Issue as many probes as the access queue accepts this cycle.
-        while next < total && xc.can_accept() {
-            let access = MetaAccess::Load {
-                id: next as u64,
-                key: MetaKey::new(workload.probes[next]),
-            };
-            xc.try_access(now, access).expect("can_accept checked");
-            next += 1;
+    let max_cycles = 2_000 * workload.probes.len() as u64 + 1_000_000;
+    let probes = workload
+        .probes
+        .iter()
+        .enumerate()
+        .map(|(id, &key)| MetaAccess::Load {
+            id: id as u64,
+            key: MetaKey::new(key),
+        });
+    drive(&mut xc, &mut now, probes, max_cycles, |resp| {
+        if resp.found {
+            // Node layout: [key, rid, next, pad].
+            checksum = checksum.wrapping_add(resp.data[1]);
         }
-        xc.tick(now);
-        while let Some(resp) = xc.take_response(now) {
-            if resp.found {
-                // Node layout: [key, rid, next, pad].
-                checksum = checksum.wrapping_add(resp.data[1]);
-            }
-            xc.recycle(resp);
-            done += 1;
-        }
-        // Done (preserve the single-stepped end cycle) or more probes
-        // issuable next cycle: advance by one without querying the
-        // comparatively expensive component next-event fold.
-        now = if done >= total || (next < total && xc.can_accept()) {
-            now.next()
-        } else {
-            xcache_sim::fast_forward(now, xc.next_event(now))
-        };
-        if now.raw() >= max_cycles {
-            return Err(format!(
-                "widx x-cache run exceeded {max_cycles} cycles with {done}/{total} probes answered"
-            ));
-        }
-    }
+    })
+    .map_err(|e| format!("widx x-cache run {e}"))?;
     let mut stats = xc.stats().clone();
     stats.merge(xc.downstream().stats());
     Ok(RunReport {

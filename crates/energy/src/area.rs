@@ -45,7 +45,7 @@ const REF_ACTIVE: f64 = 8.0;
 /// Per-component resource estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentShare {
-    /// Component name (paper's labels).
+    /// Hardware component name (paper's labels).
     pub name: &'static str,
     /// Estimated registers (flip-flops).
     pub regs: f64,
@@ -102,7 +102,7 @@ const DEVICE_LES: f64 = 149_760.0;
 
 /// Estimates FPGA utilisation for a configuration.
 ///
-/// Component costs scale with their driving parameter (X-Reg and Act.Meta
+/// Per-component costs scale with their driving parameter (X-Reg and Act.Meta
 /// with `#Active`, Action-Exec with `#Exe`, Rtn.Table with the table
 /// footprint, Others fixed), normalised so the reference configuration
 /// reproduces the paper's totals and shares.

@@ -5,7 +5,7 @@ use xcache_sim::StatsSnapshot;
 
 use crate::EnergyParams;
 
-/// Component-level energy of one run, in picojoules.
+/// Per-component energy of one run, in picojoules.
 ///
 /// The grouping matches Figure 16: on-chip data storage, meta-tags,
 /// routine RAM (the programmability cost), X-registers, action-execution

@@ -129,7 +129,7 @@ pub trait MemoryPort {
     /// observable work (retire a transaction, deliver a response, count a
     /// stall), or `None` when idle with nothing scheduled. Queried after
     /// `tick(now)`; same strict no-op contract as
-    /// [`Component::next_event`](xcache_sim::Component::next_event).
+    /// [`fast_forward`](xcache_sim::fast_forward)'s `next_event`.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now.next())
     }

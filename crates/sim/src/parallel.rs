@@ -6,9 +6,10 @@
 //! cell advance independently to an agreed target cycle, then drains
 //! responses and picks the next target. Because no cell ever observes
 //! another cell mid-horizon, any horizon length is conservative-safe; the
-//! lookahead derived from [`Component::next_event`](crate::Component) and
-//! the interconnect's minimum link latency only bounds how *coarse* the
-//! boundaries may be before driver feedback (e.g. bypass retries) lags.
+//! lookahead derived from `next_event` reports (see
+//! [`fast_forward`](crate::fast_forward)) and the interconnect's minimum
+//! link latency only bounds how *coarse* the boundaries may be before
+//! driver feedback (e.g. bypass retries) lags.
 //!
 //! [`run_horizons`] is the execution engine for that pattern. It has two
 //! modes, selected by `XCACHE_PAR`:
@@ -30,13 +31,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::FaultPlan;
-use crate::{sched_mode, skip_enabled, with_fault_plan, with_sched_mode, with_skip, Cycle};
+use crate::{skip_enabled, with_fault_plan, with_skip, Cycle};
 
 /// Which engine drives a sharded run.
 ///
 /// Both modes must produce byte-identical output; `Seq` is retained as the
 /// reference implementation for differential testing and as an escape
-/// hatch (`XCACHE_PAR=seq`), mirroring `XCACHE_SCHED=scan`.
+/// hatch (`XCACHE_PAR=seq`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParMode {
     /// Single-threaded reference: the caller advances every cell in shard
@@ -142,7 +143,7 @@ pub fn parallel_fallbacks() -> u64 {
 /// `advance(to)` must bring the cell's local clock exactly to `to`, doing
 /// whatever internal stepping/fast-forwarding the cell needs, and must
 /// depend only on the cell's own state and `to` (plus the thread-locals
-/// `run_horizons` propagates: skip mode, scheduler mode, fault plan) — the
+/// `run_horizons` propagates: skip mode, fault plan) — the
 /// determinism of parallel execution rests on that purity.
 pub trait ParCell: Send {
     /// Advances the cell's local clock to `to`.
@@ -273,7 +274,6 @@ fn run_pooled<C: ParCell>(
     // Workers inherit this thread's per-thread simulation configuration so
     // a cell advances identically regardless of which thread runs it.
     let skip = skip_enabled();
-    let sched = sched_mode();
     let plan = FaultPlan::current();
     let advance_stripe = |worker: usize, to: Cycle| {
         let mut i = worker;
@@ -291,15 +291,13 @@ fn run_pooled<C: ParCell>(
             let plan = plan.clone();
             scope.spawn(move || {
                 with_skip(skip, || {
-                    with_sched_mode(sched, || {
-                        with_fault_plan(plan, || loop {
-                            barrier.wait();
-                            if done.load(Ordering::Acquire) {
-                                break;
-                            }
-                            advance_stripe(worker, Cycle(target.load(Ordering::Acquire)));
-                            barrier.wait();
-                        });
+                    with_fault_plan(plan, || loop {
+                        barrier.wait();
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
+                        advance_stripe(worker, Cycle(target.load(Ordering::Acquire)));
+                        barrier.wait();
                     });
                 });
             });
