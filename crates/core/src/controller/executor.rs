@@ -208,7 +208,7 @@ impl<D: MemoryPort> XCache<D> {
                     match self.yield_policy {
                         YieldPolicy::ReleaseLane => {
                             // A freed lane can unblock a stalled launch.
-                            self.launch_stalled = false;
+                            self.unblock_launches();
                             self.lanes[lane_idx] = None;
                             self.arena.in_lane[lane.slot] = false;
                         }
@@ -591,8 +591,8 @@ fn h_alloc_m<D: MemoryPort>(
     };
     match xc.tags.alloc(key, state, &mut xc.ctx.stats) {
         Some((r, evicted)) => {
-            // Tag contents changed: a stalled trigger window must rescan.
-            xc.launch_stalled = false;
+            // Tag contents changed: a blocked load of `key` may now hit.
+            xc.unblock_key(key);
             if let Some(v) = evicted {
                 if v.sector_count > 0 {
                     xc.data.free(v.sector_start, v.sector_count);
@@ -628,7 +628,7 @@ fn h_dealloc_m<D: MemoryPort>(
         .ok_or_else(|| SimError::new(slot, now, "DeallocM without meta entry"))?;
     let e = xc.tags.invalidate(r, &mut xc.ctx.stats);
     // A freed way can unblock a stalled launch.
-    xc.launch_stalled = false;
+    xc.unblock_launches();
     if e.sector_count > 0 {
         xc.data.free(e.sector_start, e.sector_count);
     }
@@ -648,7 +648,7 @@ fn h_pin_m<D: MemoryPort>(
     xc.tags.update_entry(r, |e| e.pinned = true);
     // A newly pinned-full set launches to fast-fault; pinning also
     // suppresses misfires — either can flip a stalled hazard check.
-    xc.launch_stalled = false;
+    xc.unblock_all();
     Ok(Outcome::Advance)
 }
 
@@ -686,8 +686,8 @@ fn h_insert_m<D: MemoryPort>(
         xc.ctx.stats.incr_id(counter!("xcache.insertm_skip"));
         return Ok(Outcome::Advance);
     };
-    // Tag contents changed: a stalled trigger window must rescan.
-    xc.launch_stalled = false;
+    // Tag contents changed: a blocked load of `k` may now hit.
+    xc.unblock_key(k);
     if let Some(v) = evicted {
         if v.sector_count > 0 {
             xc.data.free(v.sector_start, v.sector_count);

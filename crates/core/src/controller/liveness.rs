@@ -164,7 +164,7 @@ impl<D: MemoryPort> XCache<D> {
                 .incr_id(counter!("xcache.watchdog.shed_access"));
             self.respond(now, a.id(), a.key(), false, Vec::new());
         }
-        self.launch_stalled = false;
+        self.unblock_all();
         self.global_progress = self.global_progress.max(now);
     }
 
@@ -176,7 +176,7 @@ impl<D: MemoryPort> XCache<D> {
         if !self.arena.is_live(slot) {
             return;
         }
-        self.launch_stalled = false;
+        self.unblock_all();
         let gen = self.arena.gen[slot];
         let c = &mut self.arena.cold[slot];
         let key = c.key;
@@ -260,7 +260,7 @@ impl<D: MemoryPort> XCache<D> {
             self.ctx.stats.incr_id(counter!("xcache.degraded_enter"));
             // The hazard picture changed: pending loads/stores that were
             // launch-stalled can now be answered through the bypass.
-            self.launch_stalled = false;
+            self.unblock_all();
         }
     }
 

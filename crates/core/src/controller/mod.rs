@@ -268,6 +268,11 @@ pub struct XCache<D> {
     /// could not serve. While this holds — and nothing else perturbs the
     /// hazard state — every skipped cycle would have launch-stalled too.
     pub(crate) launch_stalled: bool,
+    /// Blocked-prefix memo: the first `blocked` positions of `pending`
+    /// are known to be unservable. The window scan starts probing after
+    /// them (their keys still seed the per-key dedup); the `unblock_*`
+    /// helpers in `trigger.rs` reset it whenever a verdict can flip.
+    pub(crate) blocked: usize,
     /// Fault-injection plan captured at construction; `None` (the default)
     /// keeps every fault hook a single branch.
     pub(crate) fault: Option<Arc<FaultPlan>>,
@@ -311,10 +316,6 @@ pub struct XCache<D> {
     /// once per execute pass (counter totals are order-insensitive, so
     /// deferred application is byte-identical).
     pub(crate) epoch: xcache_sim::EpochStats,
-    /// Scratch for the trigger stage's batched window probes (macro
-    /// mode): reused across ticks so the multi-probe pass allocates
-    /// nothing.
-    pub(crate) probe_batch: Vec<crate::metatag::LaunchProbe>,
     /// Meta-tag path degraded (bypassed) until this cycle.
     pub(crate) degraded_until: Cycle,
     /// Health strikes accumulated in the current window.
@@ -442,6 +443,7 @@ impl<D: MemoryPort> XCache<D> {
             ctx: SimContext::new(0),
             last_tick: None,
             launch_stalled: false,
+            blocked: 0,
             fault: FaultPlan::current(),
             wd_budget: watchdog_budget(),
             wd_earliest: Cycle::NEVER,
@@ -454,7 +456,6 @@ impl<D: MemoryPort> XCache<D> {
             probe_cache: None,
             data_pool: Vec::new(),
             epoch: xcache_sim::EpochStats::new(),
-            probe_batch: Vec::new(),
             degraded_until: Cycle::ZERO,
             health_strikes: 0,
             health_window_start: Cycle::ZERO,

@@ -104,106 +104,145 @@ impl<D: MemoryPort> XCache<D> {
             refilled = true;
         }
 
+        #[cfg(debug_assertions)]
+        self.debug_check_blocked(now, wake_budget);
         // Dirty gate: `launch_stalled` means the last window scan failed
-        // and nothing since has perturbed the hazard state. Every site
-        // that frees a resource or mutates the tags clears the flag:
-        // retire/fault/abort/backoff (X-regs, lanes, launching claims),
-        // lane release on yield, AllocM/InsertM/DeallocM/PinM and idle
-        // eviction (tag contents), degraded-mode entry and watchdog
-        // recovery. Pure register/data/DRAM actions cannot change the
-        // hazard checks, so a busy executor no longer forces a rescan
-        // every cycle. If the window contents are also unchanged,
-        // rescanning would fail identically — charge the stall and skip
-        // the scan.
+        // and nothing since has flipped a hazard verdict. Sites that free
+        // a resource or mutate the tags reset it through one of three
+        // `unblock_*` helpers, by what they can unblock: anything
+        // (retire/fault/abort/backoff, shedding, degraded-mode entry,
+        // `pinM`), only launches (lane release on yield, `deallocM`, idle
+        // eviction — no launch happens without a free X-register file),
+        // or one key (`allocM`/`insertM` — a blocked load of it may now
+        // hit). Pure register/data/DRAM actions cannot change the hazard
+        // checks, so a busy executor never forces a rescan. If the window
+        // contents are also unchanged, rescanning would fail identically
+        // — charge the stall and skip the scan.
         if self.launch_stalled && !refilled {
+            debug_assert_eq!(self.blocked, self.pending.len().min(SCHED_WINDOW));
             self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
             return;
         }
 
-        let Some(&head) = self.pending.front() else {
+        if self.pending.is_empty() {
             self.launch_stalled = false;
             return;
-        };
+        }
+        self.probe_cache = None;
         // Head fast path: the window's first candidate is always
         // `pending[0]`, and on the vast majority of scans it serves —
         // skip the dedup-window build entirely for that case. `can_serve`
         // is deterministic and side-effect-free (its only write,
-        // `probe_cache`, is key-validated by the consumer), so the slow
-        // path below can also skip re-checking candidate 0.
-        self.probe_cache = None;
-        if self.can_serve(now, &head, wake_budget, None) {
-            self.launch_stalled = false;
-            let access = self.pending.pop_front().expect("head exists");
-            self.serve_access(now, access, wake_budget);
-            return;
+        // `probe_cache`, is key-validated by the consumer), so the scan
+        // below can also skip re-checking candidate 0.
+        if self.blocked == 0 {
+            let head = self.pending[0];
+            if self.can_serve(now, &head, wake_budget) {
+                self.launch_stalled = false;
+                self.pending.pop_front();
+                self.serve_access(now, head, wake_budget);
+                return;
+            }
         }
+        // Window scan: serve the first candidate (the first access of
+        // each key, so two accesses to one key never reorder) that can
+        // make progress. Positions before `start` are known blocked —
+        // the memoised prefix, or the head just checked — and only seed
+        // the dedup.
         let window = self.pending.len().min(SCHED_WINDOW);
+        let start = self.blocked.max(1);
         let mut seen_keys = [MetaKey::new(0); SCHED_WINDOW];
-        let mut cand = [0usize; SCHED_WINDOW];
-        seen_keys[0] = head.key();
-        let mut seen = 1usize;
-        for i in 1..window {
-            let key = self.pending[i].key();
+        let mut seen = 0usize;
+        let mut serve: Option<usize> = None;
+        for i in 0..window {
+            let access = self.pending[i];
+            let key = access.key();
             if seen_keys[..seen].contains(&key) {
                 continue; // per-key order preserved
             }
             seen_keys[seen] = key;
-            cand[seen] = i;
             seen += 1;
-        }
-        // Macro mode: the head candidate keeps its lazy probe (handled
-        // above); past it, hazard checks are primed through
-        // [`MetaTagArray::launch_probe_batch`] in geometrically growing
-        // chunks — deep scans coalesce into a few multi-probe passes
-        // while shallow ones over-probe at most one chunk. The batch
-        // probe is pure and uncounted, so probing candidates the scan
-        // never reaches is byte-invisible. Micro mode keeps the fully
-        // lazy per-candidate probe as the reference path.
-        let macro_mode = seen > 1 && matches!(xcache_sim::exec_mode(), xcache_sim::ExecMode::Macro);
-        if macro_mode {
-            self.probe_batch.clear();
-        }
-        let mut serve: Option<usize> = None;
-        for (c, &cand_c) in cand.iter().enumerate().take(seen).skip(1) {
-            let prefetched = if macro_mode {
-                // `probe_batch[i]` answers candidate `1 + i`.
-                if c > self.probe_batch.len() {
-                    let covered = 1 + self.probe_batch.len();
-                    let chunk_end = seen.min((c * 2).max(c + 2));
-                    self.tags
-                        .launch_probe_batch(&seen_keys[covered..chunk_end], &mut self.probe_batch);
-                }
-                Some(self.probe_batch[c - 1])
-            } else {
-                None
-            };
-            let access = self.pending[cand_c];
-            if self.can_serve(now, &access, wake_budget, prefetched) {
-                serve = Some(cand_c);
+            if i >= start && self.can_serve(now, &access, wake_budget) {
+                serve = Some(i);
                 break;
             }
         }
         let Some(i) = serve else {
             self.launch_stalled = true;
+            self.blocked = window;
             self.ctx.stats.incr_id(counter!("xcache.launch_stall"));
             return;
         };
         self.launch_stalled = false;
         let access = self.pending.remove(i).expect("index in window");
+        // Everything before `i` was found blocked, and serving `i` can
+        // only consume resources — except a take, which frees a way. Set
+        // before the serve so any unblock it triggers still wins.
+        self.blocked = if matches!(access, MetaAccess::Take { .. }) {
+            0
+        } else {
+            i
+        };
         self.serve_access(now, access, wake_budget);
+    }
+
+    /// Every resource or hazard may have changed (retire, fault, abort,
+    /// watchdog backoff and shedding, degraded-mode entry, `pinM`): the
+    /// next scan starts from the head.
+    pub(super) fn unblock_all(&mut self) {
+        self.launch_stalled = false;
+        self.blocked = 0;
+    }
+
+    /// A lane or a tag way was freed (lane release on yield, `deallocM`,
+    /// idle eviction). That only feeds a walker launch, and no launch
+    /// happens without a free X-register file — whose release always
+    /// goes through [`unblock_all`](Self::unblock_all).
+    pub(super) fn unblock_launches(&mut self) {
+        if self.xregs.has_free() {
+            self.unblock_all();
+        }
+    }
+
+    /// `key` was allocated in the tags (`allocM`, `insertM`). Besides
+    /// feeding a launch, that can turn a blocked load of `key` into a
+    /// hit; nothing else in the blocked prefix can flip.
+    pub(super) fn unblock_key(&mut self, key: MetaKey) {
+        if self.xregs.has_free()
+            || self
+                .pending
+                .iter()
+                .take(self.blocked)
+                .any(|a| a.key() == key)
+        {
+            self.unblock_all();
+        }
+    }
+
+    /// Soundness check for the blocked-prefix memo (debug builds only,
+    /// run before every scan or skipped scan): every distinct-key
+    /// candidate in the prefix must still be unservable, so any missing
+    /// `unblock_*` call trips here.
+    #[cfg(debug_assertions)]
+    fn debug_check_blocked(&mut self, now: Cycle, wake_budget: &usize) {
+        let saved = self.probe_cache;
+        for i in 0..self.blocked {
+            let access = self.pending[i];
+            if self.pending.iter().take(i).any(|a| a.key() == access.key()) {
+                continue;
+            }
+            debug_assert!(
+                !self.can_serve(now, &access, wake_budget),
+                "blocked-prefix candidate {i} ({access:?}) became servable without an unblock"
+            );
+        }
+        self.probe_cache = saved;
     }
 
     /// Whether `access` can make progress this cycle (trigger-stage hazard
     /// check — "routines are not triggered until all the hazard conditions
-    /// are eliminated", §4.1 ③). `prefetched` carries this key's answer
-    /// from the macro-mode batched window probe, when one ran.
-    fn can_serve(
-        &mut self,
-        now: Cycle,
-        access: &MetaAccess,
-        wake_budget: &usize,
-        prefetched: Option<crate::metatag::LaunchProbe>,
-    ) -> bool {
+    /// are eliminated", §4.1 ③).
+    fn can_serve(&mut self, now: Cycle, access: &MetaAccess, wake_budget: &usize) -> bool {
         let key = access.key();
         if let Some(_slot) = self.launching.get(&key) {
             // Loads attach as waiters (always possible); stores/takes must
@@ -220,7 +259,7 @@ impl<D: MemoryPort> XCache<D> {
         // the same set). Remember where it landed: if this access is the
         // one served, `serve_access` completes the lookup via `probe_at`
         // without re-scanning the set.
-        let probe = prefetched.unwrap_or_else(|| self.tags.launch_probe(key));
+        let probe = self.tags.launch_probe(key);
         self.probe_cache = Some((key, probe.hit));
         let hit = match probe.hit {
             Some(r) => !self.misfires(access, self.tags.entry(r).pinned),
@@ -474,12 +513,28 @@ mod tests {
     }
 
     fn tiny() -> XCache<DramModel> {
+        tiny_with(XCacheConfig::test_tiny().active, array_walker())
+    }
+
+    /// The tiny geometry with `active` X-register files, running `program`.
+    fn tiny_with(active: usize, program: xcache_isa::WalkerProgram) -> XCache<DramModel> {
         let mut dram = DramModel::new(DramConfig::test_tiny());
         for k in 0..32u64 {
             dram.memory_mut().write_u64(0x1000 + k * 32, 9000 + k);
         }
-        let cfg = XCacheConfig::test_tiny().with_params(vec![0x1000]);
-        XCache::new(cfg, array_walker(), dram).expect("builds")
+        let cfg = XCacheConfig {
+            active,
+            ..XCacheConfig::test_tiny()
+        }
+        .with_params(vec![0x1000]);
+        XCache::new(cfg, program, dram).expect("builds")
+    }
+
+    fn load(id: u64, key: u64) -> MetaAccess {
+        MetaAccess::Load {
+            id,
+            key: MetaKey::new(key),
+        }
     }
 
     fn run_until_response(xc: &mut XCache<DramModel>, mut now: Cycle) -> (Cycle, crate::MetaResp) {
@@ -578,5 +633,154 @@ mod tests {
         assert!(!r.found);
         assert_eq!(xc.stats().get("xcache.take_miss"), 1);
         assert_eq!(xc.stats().get("xcache.walker_launch"), 0);
+    }
+
+    #[test]
+    fn lane_release_without_a_free_xreg_file_keeps_the_window_stalled() {
+        // The walker waits on the hash unit, not DRAM, so nothing else
+        // needs the cycle after its yield.
+        let program = assemble(
+            r#"
+            walker hashed
+            states Default, Wait
+            events HashDone
+            regs 2
+            routine start {
+                allocR
+                allocM
+                hash HashDone, key
+                yield Wait
+            }
+            routine done {
+                respond
+                retire
+            }
+            on Default, Miss -> start
+            on Wait, HashDone -> done
+        "#,
+        )
+        .expect("valid");
+        let mut xc = tiny_with(1, program);
+        xc.try_access(Cycle(0), load(1, 1)).expect("queue empty");
+        xc.try_access(Cycle(0), load(2, 2)).expect("queue has room");
+        // Run until the only walker has yielded its lane to the hash unit.
+        let mut now = Cycle(0);
+        loop {
+            xc.tick(now);
+            if xc.arena.live_count() == 1 && xc.lanes.iter().all(Option::is_none) {
+                break;
+            }
+            now = now.next();
+            assert!(now.raw() < 1_000, "walker never yielded");
+        }
+        // Neither the freed lane nor the walker's own `allocM` can help
+        // key 2 while the only X-register file is taken.
+        assert!(xc.launch_stalled);
+        assert_eq!(xc.blocked, 1);
+        assert_ne!(
+            xc.next_event(now),
+            Some(now.next()),
+            "an irrelevant lane release must not force the next cycle"
+        );
+        // Retirement frees the file: the blocked head launches next tick.
+        while xc.stats().get("xcache.walker_retire") == 0 {
+            now = now.next();
+            xc.tick(now);
+            assert!(now.raw() < 100_000, "walker never retired");
+        }
+        assert!(!xc.launch_stalled);
+        assert_eq!(xc.blocked, 0);
+        assert_eq!(xc.next_event(now), Some(now.next()));
+        xc.tick(now.next());
+        assert_eq!(xc.stats().get("xcache.walker_launch"), 2);
+    }
+
+    #[test]
+    fn hit_behind_a_blocked_miss_is_served_and_the_prefix_memoised() {
+        let mut xc = tiny_with(1, array_walker());
+        xc.try_access(Cycle(0), load(1, 3)).expect("queue empty");
+        let (mut now, _) = run_until_response(&mut xc, Cycle(0));
+        // Occupy the only X-register file with a walk of key 4.
+        now = now.next();
+        xc.try_access(now, load(2, 4)).expect("queue empty");
+        while xc.stats().get("xcache.walker_launch") < 2 {
+            xc.tick(now);
+            now = now.next();
+            assert!(now.raw() < 100_000, "key 4 never launched");
+        }
+        // A miss on key 5, then a hit on key 3, queue behind it.
+        xc.try_access(now, load(3, 5)).expect("queue has room");
+        xc.try_access(now, load(4, 3)).expect("queue has room");
+        while xc.stats().get("xcache.hit") == 0 {
+            xc.tick(now);
+            now = now.next();
+            assert!(now.raw() < 100_000, "the hit never bypassed");
+        }
+        assert_eq!(xc.arena.live_count(), 1, "key 4 is still walking");
+        assert_eq!(xc.pending.len(), 1);
+        assert_eq!(
+            xc.blocked, 1,
+            "the miss ahead of the served hit stays blocked"
+        );
+        assert!(!xc.launch_stalled);
+    }
+
+    #[test]
+    fn insertm_of_a_blocked_key_reopens_the_window() {
+        // Every walk side-inserts key 4 as soon as its fill lands.
+        let program = assemble(
+            r#"
+            walker sideins
+            states Default, Wait
+            regs 2
+            params base
+            routine start {
+                allocR
+                allocM
+                mul r0, key, 32
+                add r0, r0, base
+                dram_read r0, 32
+                yield Wait
+            }
+            routine fill {
+                insertm 4, 4
+                allocD r1, 1
+                filld r1, 4
+                updatem r1, r1
+                respond
+                retire
+            }
+            on Default, Miss -> start
+            on Wait, Fill -> fill
+        "#,
+        )
+        .expect("valid");
+        let mut xc = tiny_with(1, program);
+        xc.try_access(Cycle(0), load(1, 3)).expect("queue empty");
+        xc.try_access(Cycle(0), load(2, 4)).expect("queue has room");
+        let mut now = Cycle(0);
+        let mut stalled = false;
+        while xc.stats().get("xcache.hit") == 0 {
+            xc.tick(now);
+            stalled |= xc.launch_stalled && xc.blocked == 1;
+            now = now.next();
+            assert!(now.raw() < 100_000, "key 4 never hit");
+        }
+        assert!(stalled, "key 4 was blocked on the only X-register file");
+        // The insert, not the walker's retirement, reopened the scan.
+        assert_eq!(xc.arena.live_count(), 1, "the key-3 walker is still live");
+        assert_eq!(xc.stats().get("xcache.walker_launch"), 1);
+        let mut found = None;
+        while found.is_none() {
+            xc.tick(now);
+            while let Some(r) = xc.take_response(now) {
+                if r.id == 2 {
+                    found = Some(r.found);
+                }
+            }
+            now = now.next();
+            assert!(now.raw() < 100_000, "key 4 never answered");
+        }
+        assert_eq!(found, Some(true));
     }
 }

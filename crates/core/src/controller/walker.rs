@@ -95,7 +95,7 @@ impl<D: MemoryPort> XCache<D> {
         self.global_progress = self.global_progress.max(now);
         // Frees X-regs/lanes and removes the launching claim: a stalled
         // trigger window may now make progress.
-        self.launch_stalled = false;
+        self.unblock_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry;
@@ -146,7 +146,7 @@ impl<D: MemoryPort> XCache<D> {
         self.global_progress = self.global_progress.max(now);
         // Frees X-regs/lanes/tag claims: a stalled trigger window may now
         // make progress, so it must be re-examined before fast-forwarding.
-        self.launch_stalled = false;
+        self.unblock_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry.take();
@@ -195,7 +195,7 @@ impl<D: MemoryPort> XCache<D> {
         }
         self.global_progress = self.global_progress.max(now);
         // Frees X-regs/lanes/tag claims like a fault does.
-        self.launch_stalled = false;
+        self.unblock_all();
         let c = &mut self.arena.cold[slot];
         let key = c.key;
         let entry = c.entry.take();
@@ -255,7 +255,7 @@ impl<D: MemoryPort> XCache<D> {
         let r = self.tags.peek(key).expect("victim present");
         let e = self.tags.invalidate(r, &mut self.ctx.stats);
         // A freed way can unblock a stalled launch.
-        self.launch_stalled = false;
+        self.unblock_launches();
         self.data.free(e.sector_start, e.sector_count);
         self.ctx.stats.incr_id(counter!("xcache.capacity_evict"));
         true

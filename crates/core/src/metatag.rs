@@ -88,8 +88,8 @@ pub struct MetaTagArray {
     use_counter: u64,
     set_stats: Vec<SetCounters>,
     /// Slot-parallel packed copy of each slot's key, kept in sync by
-    /// every mutation path. The launch gate probes every pending access
-    /// each cycle; scanning one cache line of packed keys instead of
+    /// every mutation path. The launch gate probes window candidates on
+    /// every trigger scan; scanning one cache line of packed keys instead of
     /// `ways` 40-byte slots is the difference between the trigger stage
     /// and the tag array dominating the simulator profile.
     probe_keys: Vec<u64>,
@@ -221,7 +221,7 @@ impl MetaTagArray {
     /// Completes a probe whose way scan [`peek`](Self::peek) already
     /// performed: counts the tag read and touches recency exactly like
     /// [`probe`](Self::probe), without re-scanning the set. The trigger
-    /// stage batches its hazard-check lookup and its serve lookup this
+    /// stage pairs its hazard-check lookup and its serve lookup this
     /// way — one scan, one modelled access.
     pub fn probe_at(&mut self, r: Option<EntryRef>, stats: &mut Stats) -> Option<EntryRef> {
         stats.incr_id(counter!("xcache.tag_read"));
@@ -287,21 +287,6 @@ impl MetaTagArray {
             }
         }
         probe
-    }
-
-    /// Multi-probe form of [`launch_probe`](Self::launch_probe): probes
-    /// every key in `keys` in one call, appending the answers to `out`
-    /// in order (`out` is *not* cleared, so chunked window scans can
-    /// extend their coverage incrementally).
-    ///
-    /// The macro-step trigger stage uses this to prime the hazard
-    /// checks for its scheduling window in batched passes instead of
-    /// one interleaved probe per candidate. Like the single-probe form
-    /// it is read-only and counts nothing, so probing candidates the
-    /// window scan never reaches is invisible to stats, recency, and
-    /// therefore byte-identity.
-    pub fn launch_probe_batch(&self, keys: &[MetaKey], out: &mut Vec<LaunchProbe>) {
-        out.extend(keys.iter().map(|&k| self.launch_probe(k)));
     }
 
     /// The entry at `r`.
