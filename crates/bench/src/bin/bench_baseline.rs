@@ -23,10 +23,7 @@ use xcache_bench::{machine_factor, meta_json, note_sim_cycles, widx_geometry, wi
 use xcache_core::{shards_from_env, XCacheConfig};
 use xcache_dsa::{graphpulse, spgemm, widx};
 use xcache_mem::{DramConfig, DramModel, MemReq, MemoryPort};
-use xcache_sim::{
-    prof_reset, prof_snapshot, with_par_mode, with_par_threads, with_skip, Cycle, ParMode,
-    ProfEntry,
-};
+use xcache_sim::{prof_reset, prof_snapshot, with_skip, Cycle, ProfEntry};
 use xcache_workloads::QueryClass;
 
 /// Observables of one scenario run, compared across modes.
@@ -227,12 +224,8 @@ fn main() {
     let gp_g = xcache_bench::graphpulse_geometry(256);
 
     // Sharded topology rows: the same cells at `XCACHE_SHARDS` (default 4)
-    // shards, once on the sequential reference engine and once on the
-    // worker pool at 4 threads. Byte-identical outcomes between the two
-    // are asserted below; the wall-clock ratio is the parallel speedup
-    // (≥ 1 only when the host has that many physical cores).
+    // shards.
     let shards = shards_from_env(4);
-    let par_threads = 4usize;
 
     let report = |r: xcache_dsa::RunReport| (r.cycles, r.checksum);
     let measurements = [
@@ -249,64 +242,28 @@ fn main() {
         measure("graphpulse_xcache", &|| {
             report(graphpulse::run_xcache(&gp_w, Some(gp_g.clone())))
         }),
-        measure("widx_q19_sharded4_seq", &|| {
-            report(with_par_mode(ParMode::Seq, || {
-                widx::run_xcache_sharded(&widx_q19, Some(widx_geom.clone()), shards)
-            }))
+        measure("widx_q19_sharded4", &|| {
+            report(widx::run_xcache_sharded(
+                &widx_q19,
+                Some(widx_geom.clone()),
+                shards,
+            ))
         }),
-        measure("widx_q19_sharded4_par", &|| {
-            report(with_par_mode(ParMode::Par, || {
-                with_par_threads(par_threads, || {
-                    widx::run_xcache_sharded(&widx_q19, Some(widx_geom.clone()), shards)
-                })
-            }))
+        measure("spgemm_gustavson_sharded4", &|| {
+            report(spgemm::run_xcache_sharded(
+                &spgemm_w,
+                Some(spgemm_g.clone()),
+                shards,
+            ))
         }),
-        measure("spgemm_gustavson_sharded4_seq", &|| {
-            report(with_par_mode(ParMode::Seq, || {
-                spgemm::run_xcache_sharded(&spgemm_w, Some(spgemm_g.clone()), shards)
-            }))
-        }),
-        measure("spgemm_gustavson_sharded4_par", &|| {
-            report(with_par_mode(ParMode::Par, || {
-                with_par_threads(par_threads, || {
-                    spgemm::run_xcache_sharded(&spgemm_w, Some(spgemm_g.clone()), shards)
-                })
-            }))
-        }),
-        measure("graphpulse_sharded4_par", &|| {
-            report(with_par_mode(ParMode::Par, || {
-                with_par_threads(par_threads, || {
-                    graphpulse::run_xcache_sharded(&gp_w, Some(gp_g.clone()), shards)
-                })
-            }))
+        measure("graphpulse_sharded4", &|| {
+            report(graphpulse::run_xcache_sharded(
+                &gp_w,
+                Some(gp_g.clone()),
+                shards,
+            ))
         }),
     ];
-
-    for (seq_name, par_name) in [
-        ("widx_q19_sharded4_seq", "widx_q19_sharded4_par"),
-        (
-            "spgemm_gustavson_sharded4_seq",
-            "spgemm_gustavson_sharded4_par",
-        ),
-    ] {
-        let row = |n: &str| {
-            measurements
-                .iter()
-                .find(|m| m.name == n)
-                .expect("sharded row is measured")
-        };
-        let (s, p) = (row(seq_name), row(par_name));
-        assert_eq!(
-            s.sim_cycles, p.sim_cycles,
-            "{seq_name} and {par_name} diverged — parallel time is not deterministic"
-        );
-        eprintln!(
-            "sharded par-over-seq {}: {:.2}x at {par_threads} threads ({} host cores)",
-            seq_name.trim_end_matches("_seq"),
-            s.wall_ms_skip / p.wall_ms_skip.max(1e-9),
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        );
-    }
 
     let mut body = String::from("[\n");
     for (i, m) in measurements.iter().enumerate() {

@@ -6,11 +6,12 @@
 //! entirely, while the baseline walks regardless.
 
 use xcache_bench::crossval::{oracle_geometry, widx_oracle_ops};
-use xcache_bench::{maybe_dump_table_json, pct, render_table, scale, Runner, Scenario};
-use xcache_core::XCacheConfig;
+use xcache_bench::{
+    maybe_dump_table_json, pct, render_table, residency_geometry, residency_workload, scale,
+    Runner, Scenario,
+};
 use xcache_dsa::widx;
 use xcache_oracle::CacheModel;
-use xcache_workloads::QueryClass;
 
 const HEADERS: [&str; 5] = [
     "% on-chip",
@@ -23,39 +24,23 @@ const HEADERS: [&str; 5] = [
 fn main() {
     let scale = scale();
     println!("Figure 17: runtime vs % data on-chip, Widx TPC-H-22 (scale 1/{scale})\n");
-    // High join selectivity (2% absent probes): the sweep isolates the
-    // residency effect, as in the paper's figure.
-    let mut preset = QueryClass::Q22.preset().scaled_down(scale as usize);
-    preset.probes = (preset.probes * 3).max(2_000);
-    preset.miss_rate = 0.02;
-    let w = xcache_dsa::widx::WidxWorkload::from_preset(&preset, 7);
+    let w = residency_workload(scale, 7);
     let keys = w.index.len();
     // The access plan depends only on the index layout, not the cache
     // geometry — derive it once and replay it per sweep point for the
     // pruning estimate (predicted DRAM-walking misses: the cells where
     // simulation has the most to say).
     let oracle_ops = widx_oracle_ops(&w);
-    let geometry_for = |resident_pct: u32| {
-        let resident = (keys as u64 * u64::from(resident_pct) / 100).max(16);
-        // Fixed power-of-two sets; associativity carries the capacity so
-        // every sweep point is distinct (ways need not be a power of two).
-        let sets = 128usize;
-        let ways = (resident as usize / sets).max(1);
-        XCacheConfig {
-            sets,
-            ways,
-            data_sectors: (sets * ways).max(64),
-            ..XCacheConfig::widx()
-        }
-    };
     let cells: Vec<Scenario<'_, Vec<String>>> = [10u32, 25, 50, 75, 100]
         .into_iter()
         .map(|resident_pct| {
             let w = &w;
-            let predicted =
-                CacheModel::replay(oracle_geometry(&geometry_for(resident_pct)), &oracle_ops);
+            let predicted = CacheModel::replay(
+                oracle_geometry(&residency_geometry(keys, resident_pct)),
+                &oracle_ops,
+            );
             Scenario::new(format!("{resident_pct}% resident"), move || {
-                let g = geometry_for(resident_pct);
+                let g = residency_geometry(keys, resident_pct);
                 let x = widx::run_xcache(w, Some(g.clone()));
                 let b = widx::run_baseline(w, Some(g));
                 let hit_rate = x.stats.get("xcache.hit") as f64

@@ -6,12 +6,12 @@
 //! at most ~10% (DRAM-bound, and hits already bypass the walkers).
 
 use xcache_bench::{
-    graphpulse_geometry, maybe_dump_table_json, render_table, scale, widx_geometry, widx_workload,
-    Runner, Scenario,
+    graphpulse_geometry, maybe_dump_table_json, p2p08_pagerank, render_table, scale, widx_geometry,
+    widx_workload, Runner, Scenario,
 };
 use xcache_core::XCacheConfig;
 use xcache_dsa::{graphpulse, widx};
-use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
+use xcache_workloads::QueryClass;
 
 const GRID: [(usize, usize); 4] = [(4, 1), (8, 2), (16, 4), (32, 8)];
 const HEADERS: [&str; 3] = ["#Active/#Exe", "cycles", "speedup vs 4/1"];
@@ -37,13 +37,8 @@ fn main() {
     let runner = Runner::from_env();
 
     // --- GraphPulse: p2p-Gnutella08-shaped PageRank ---
-    let (n, e) = GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let gw = graphpulse::GraphPulseWorkload {
-        graph: Graph::from_adjacency(CsrMatrix::generate(n, n, e, SparsePattern::RMat, 7)),
-        iterations: 2,
-    };
+    let gw = p2p08_pagerank(scale, 7);
+    let n = gw.graph.vertices();
     let cells: Vec<Scenario<'_, u64>> = GRID
         .into_iter()
         .map(|(active, exe)| {

@@ -3,18 +3,16 @@
 //! Runs one sharded simulation per DSA family (Widx TPC-H Q19, Gamma
 //! Gustavson SpGEMM, GraphPulse PageRank) at `XCACHE_SHARDS` shards and
 //! prints/dumps every observable — end cycle, result checksum, and a
-//! digest over the full counter map. CI executes the binary across the
-//! parallel-execution matrix (`XCACHE_PAR=seq|par` × worker-thread
-//! counts × runner job counts) and diffs the JSON dumps: any divergence
-//! in any cell fails the build, because parallel simulated time must be
-//! byte-identical to the sequential reference.
+//! digest over the full counter map. CI runs the binary at several shard
+//! counts across runner job counts, skip modes and execution modes and
+//! diffs the JSON dumps: any divergence in any cell fails the build.
 //!
-//! Environment: `XCACHE_SHARDS` (default 4), `XCACHE_PAR`,
-//! `XCACHE_PAR_THREADS`, `XCACHE_JOBS`, `XCACHE_SCALE`, `XCACHE_JSON`.
+//! Environment: `XCACHE_SHARDS` (default 4), `XCACHE_JOBS`,
+//! `XCACHE_NO_SKIP`, `XCACHE_EXEC`, `XCACHE_SCALE`, `XCACHE_JSON`.
 
 use xcache_bench::{
-    graphpulse_geometry, maybe_dump_table_json, note_sim_cycles, render_table, scale,
-    spgemm_geometry, widx_geometry, widx_workload, Runner, Scenario,
+    graphpulse_geometry, maybe_dump_table_json, note_sim_cycles, p2p08_pagerank, render_table,
+    scale, spgemm_geometry, widx_geometry, widx_workload, Runner, Scenario,
 };
 use xcache_core::{shards_from_env, splitmix64};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
@@ -74,22 +72,8 @@ fn main() {
             )
         }),
         Scenario::new("GraphPulse", move || {
-            let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-            let n = (n / scale).max(64);
-            let e = (e / scale as usize).max(256);
-            let w = graphpulse::GraphPulseWorkload {
-                graph: xcache_workloads::Graph::from_adjacency(
-                    xcache_workloads::CsrMatrix::generate(
-                        n,
-                        n,
-                        e,
-                        xcache_workloads::SparsePattern::RMat,
-                        7,
-                    ),
-                ),
-                iterations: 2,
-            };
-            let g = graphpulse_geometry(n);
+            let w = p2p08_pagerank(scale, 7);
+            let g = graphpulse_geometry(w.graph.vertices());
             row(
                 "GraphPulse",
                 &graphpulse::run_xcache_sharded(&w, Some(g), shards),

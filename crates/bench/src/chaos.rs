@@ -28,8 +28,8 @@
 //!   skip/jobs byte-identity. Three cells run the 4-shard topology under
 //!   [`SHARD_CHAOS_SPEC`], which adds the bank-conflict-storm and
 //!   crossbar link-delay kinds — still timing-only — so the
-//!   differentials exercise fault determinism *through the parallel-time
-//!   machinery*: sharded Widx (fig04 workload) and sharded SpGEMM
+//!   differentials exercise fault determinism *through the sharded
+//!   topology*: sharded Widx (fig04 workload) and sharded SpGEMM
 //!   (Gustavson), where the oracle checksum binds and is enforced, and
 //!   sharded GraphPulse, where on-chip-only event state makes the
 //!   checksum unenforceable and the cell asserts termination with
@@ -55,7 +55,7 @@ use xcache_workloads::QueryClass;
 
 use crate::fuzz::{access_stream, FUZZ_BASE, WINDOW_BYTES};
 use crate::runner::{Runner, Scenario};
-use crate::{graphpulse_geometry, note_sim_cycles, widx_geometry, widx_workload};
+use crate::{graphpulse_geometry, note_sim_cycles, p2p08_pagerank, widx_geometry, widx_workload};
 
 /// The aggressive spec for fuzz-program chaos: every fault kind armed at
 /// rates that fire several times per 96-access run without drowning it.
@@ -463,10 +463,7 @@ pub fn run_dsa_chaos_cell(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u6
 
 /// The sharded Widx chaos cell: the fig04 workload across
 /// [`CHAOS_SHARDS`] controller instances with bank-conflict storms on
-/// the shared banked DRAM and delays on the crossbar links. The plan is
-/// armed *outside* the horizon runner, so worker threads inherit it
-/// through the parallel-time machinery — exactly the path where a
-/// thread-dependent fault decision would break byte-identity.
+/// the shared banked DRAM and delays on the crossbar links.
 fn widx_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
     let w = widx_workload(QueryClass::Q19, scale, seed);
     let g = widx_geometry(scale);
@@ -534,20 +531,8 @@ fn spgemm_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64)
 /// the checksum is *not* enforced because accumulated ranks live only
 /// on-chip, so a watchdog-killed walker legitimately loses events.
 fn graphpulse_sharded_chaos(cell: ChaosCell, scale: u32, seed: u64, fault_seed: u64) -> String {
-    let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let w = graphpulse::GraphPulseWorkload {
-        graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-            n,
-            n,
-            e,
-            xcache_workloads::SparsePattern::RMat,
-            seed,
-        )),
-        iterations: 2,
-    };
-    let g = graphpulse_geometry(n);
+    let w = p2p08_pagerank(scale, seed);
+    let g = graphpulse_geometry(w.graph.vertices());
     let plan = plan_for(SHARD_CHAOS_SPEC, fault_seed, cell as u64 + 1);
     let out = with_fault_plan(Some(plan), || {
         with_watchdog_budget(CHAOS_WATCHDOG_BUDGET, || {
@@ -597,20 +582,8 @@ fn widx_chaos(
 }
 
 fn graphpulse_chaos(scale: u32, seed: u64, fault_seed: u64) -> String {
-    let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-    let n = (n / scale).max(64);
-    let e = (e / scale as usize).max(256);
-    let w = graphpulse::GraphPulseWorkload {
-        graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-            n,
-            n,
-            e,
-            xcache_workloads::SparsePattern::RMat,
-            seed,
-        )),
-        iterations: 2,
-    };
-    let g = graphpulse_geometry(n);
+    let w = p2p08_pagerank(scale, seed);
+    let g = graphpulse_geometry(w.graph.vertices());
     let plan = plan_for(
         DEFAULT_CHAOS_SPEC,
         fault_seed,
@@ -751,14 +724,20 @@ mod tests {
 
     #[test]
     fn sharded_chaos_cell_is_deterministic_across_par_modes() {
-        use xcache_sim::{with_par_mode, with_par_threads, ParMode};
-        let seq = with_par_mode(ParMode::Seq, || {
-            run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, 2)
-        });
-        let par = with_par_mode(ParMode::Par, || {
-            with_par_threads(2, || run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, 2))
-        });
-        assert_eq!(seq, par, "sharded chaos diverged between seq and par");
+        // The fault plan is armed inside the cell, so copies run in
+        // parallel on `Runner` worker threads draw the same faults as the
+        // sequential run on this thread.
+        let seq = run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, 2);
+        let cells = (0..2)
+            .map(|copy| {
+                Scenario::new(format!("widx-sharded #{copy}"), || {
+                    run_dsa_chaos_cell(ChaosCell::WidxSharded, 64, 1, 2)
+                })
+            })
+            .collect();
+        for par in Runner::with_jobs(2).run(cells) {
+            assert_eq!(seq, par, "sharded chaos diverged between seq and par");
+        }
         assert!(!cell_has_violation(&seq), "cell violated: {seq}");
     }
 

@@ -37,8 +37,9 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use xcache_core::XCacheConfig;
+use xcache_dsa::graphpulse::GraphPulseWorkload;
 use xcache_dsa::widx::WidxWorkload;
-use xcache_workloads::QueryClass;
+use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
 
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
@@ -173,6 +174,34 @@ pub fn widx_workload(class: QueryClass, scale: u32, seed: u64) -> WidxWorkload {
     WidxWorkload::from_preset(&preset, seed)
 }
 
+/// Fig 17's residency-sweep workload: the standard TPC-H-22 workload with
+/// high join selectivity (2% absent probes), so the sweep isolates the
+/// residency effect, as in the paper's figure.
+#[must_use]
+pub fn residency_workload(scale: u32, seed: u64) -> WidxWorkload {
+    let mut preset = QueryClass::Q22.preset().scaled_down(scale as usize);
+    preset.probes = (preset.probes * 3).max(2_000);
+    preset.miss_rate = 0.02;
+    WidxWorkload::from_preset(&preset, seed)
+}
+
+/// Fig 17's geometry holding `resident_pct` % of an index of `keys`
+/// keys on chip: fixed power-of-two sets, with associativity carrying
+/// the capacity so every sweep point is distinct (ways need not be a
+/// power of two).
+#[must_use]
+pub fn residency_geometry(keys: usize, resident_pct: u32) -> XCacheConfig {
+    let resident = (keys as u64 * u64::from(resident_pct) / 100).max(16);
+    let sets = 128usize;
+    let ways = (resident as usize / sets).max(1);
+    XCacheConfig {
+        sets,
+        ways,
+        data_sectors: (sets * ways).max(64),
+        ..XCacheConfig::widx()
+    }
+}
+
 /// A Widx geometry scaled with the workload so hit rates sit in the
 /// paper's regime (hot set resident, tail missing).
 #[must_use]
@@ -286,20 +315,8 @@ pub fn dsa_scenarios(scale: u32, seed: u64) -> Vec<Scenario<'static, DsaRun>> {
 
     // GraphPulse: p2p-Gnutella08-shaped graph, PageRank.
     cells.push(Scenario::new("GraphPulse p2p-08", move || {
-        let (n, e) = xcache_workloads::GraphPreset::P2pGnutella08.dims();
-        let n = (n / scale).max(64);
-        let e = (e / scale as usize).max(256);
-        let w = graphpulse::GraphPulseWorkload {
-            graph: xcache_workloads::Graph::from_adjacency(xcache_workloads::CsrMatrix::generate(
-                n,
-                n,
-                e,
-                xcache_workloads::SparsePattern::RMat,
-                seed,
-            )),
-            iterations: 2,
-        };
-        let g = graphpulse_geometry(n);
+        let w = p2p08_pagerank(scale, seed);
+        let g = graphpulse_geometry(w.graph.vertices());
         let run = DsaRun {
             name: "GraphPulse p2p-08".into(),
             geometry: g.clone(),
@@ -342,6 +359,19 @@ pub fn dsa_scenarios(scale: u32, seed: u64) -> Vec<Scenario<'static, DsaRun>> {
 #[must_use]
 pub fn run_all_dsas(scale: u32, seed: u64) -> Vec<DsaRun> {
     Runner::from_env().run(dsa_scenarios(scale, seed))
+}
+
+/// PageRank (2 iterations) on a p2p-Gnutella08-shaped R-MAT graph at the
+/// harness scale.
+#[must_use]
+pub fn p2p08_pagerank(scale: u32, seed: u64) -> GraphPulseWorkload {
+    let (n, e) = GraphPreset::P2pGnutella08.dims();
+    let n = (n / scale).max(64);
+    let e = (e / scale as usize).max(256);
+    GraphPulseWorkload {
+        graph: Graph::from_adjacency(CsrMatrix::generate(n, n, e, SparsePattern::RMat, seed)),
+        iterations: 2,
+    }
 }
 
 /// GraphPulse geometry scaled to a vertex count (direct-mapped, like
@@ -416,13 +446,9 @@ pub fn git_sha() -> String {
 /// Run metadata recorded in every JSON dump: enough to reproduce the run
 /// (scale divisor, job count, commit) and to identify the format, plus the
 /// timing fields (`wall_ms`, `sim_cycles`, `sim_cycles_per_sec`) that give
-/// every dump a perf trajectory. `parallel_fallbacks` counts silent
-/// `Par`-pool degradations to sequential execution — nonzero means the
-/// run's wall times came from a machine that couldn't actually go
-/// parallel, so its throughput numbers undersell the code. The timing
-/// fields are machine-dependent; comparisons across runs must ignore the
-/// meta line (it sits on its own line in the envelope precisely so
-/// `grep -v '^"meta"'` drops it).
+/// every dump a perf trajectory. The timing fields are machine-dependent;
+/// comparisons across runs must ignore the meta line (it sits on its own
+/// line in the envelope precisely so `grep -v '^"meta"'` drops it).
 #[must_use]
 pub fn meta_json(name: &str) -> String {
     let (wall_ms, sim_cycles) = timing_totals();
@@ -431,13 +457,12 @@ pub fn meta_json(name: &str) -> String {
         .checked_div(wall_ms)
         .unwrap_or(0);
     format!(
-        "{{\"schema\":\"xcache-bench/2\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"machine_factor\":{:.3},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec},\"parallel_fallbacks\":{}}}",
+        "{{\"schema\":\"xcache-bench/3\",\"experiment\":\"{}\",\"scale\":{},\"jobs\":{},\"machine_factor\":{:.3},\"git_sha\":\"{}\",\"wall_ms\":{wall_ms},\"sim_cycles\":{sim_cycles},\"sim_cycles_per_sec\":{per_sec}}}",
         json_escape(name),
         scale(),
         jobs_from_env(),
         machine_factor(),
         json_escape(&git_sha()),
-        xcache_sim::parallel_fallbacks()
     )
 }
 

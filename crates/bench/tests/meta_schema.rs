@@ -87,7 +87,6 @@ fn meta_envelope_key_order_and_types_are_pinned() {
             "wall_ms",
             "sim_cycles",
             "sim_cycles_per_sec",
-            "parallel_fallbacks",
         ],
         "meta envelope keys drifted — bump the schema version and update \
          trajectory tooling before changing this"
@@ -101,7 +100,7 @@ fn meta_envelope_key_order_and_types_are_pinned() {
             .expect("key present")
     };
 
-    assert_eq!(value("schema"), "\"xcache-bench/2\"");
+    assert_eq!(value("schema"), "\"xcache-bench/3\"");
     assert_eq!(value("experiment"), "\"schema-probe\"");
     assert!(is_json_string(value("git_sha")), "git_sha must be a string");
     for numeric in [
@@ -110,7 +109,6 @@ fn meta_envelope_key_order_and_types_are_pinned() {
         "wall_ms",
         "sim_cycles",
         "sim_cycles_per_sec",
-        "parallel_fallbacks",
     ] {
         assert!(
             is_unsigned_integer(value(numeric)),

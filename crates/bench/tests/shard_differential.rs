@@ -1,19 +1,15 @@
 //! Differential tests for the sharded topology: a sharded run must be
-//! byte-identical across `XCACHE_PAR` execution modes, worker-thread
-//! counts, and `Runner` job counts, and must keep the skip/no-skip
-//! invariant end to end. The routing proptest pins [`owner_of`] down as
-//! a partition of the key space, and a geometry proptest checks that
-//! per-shard configs stay well-formed.
-//!
-//! `with_par_mode`/`with_par_threads`/`with_skip` are thread-local, so
-//! cells that need an override set it *inside* the scenario closure —
-//! the `Runner`'s worker threads inherit nothing from the test thread.
+//! byte-identical run sequentially and in parallel across `Runner` job
+//! counts, and must keep the skip/no-skip invariant end to end. The
+//! routing proptest pins [`owner_of`] down as a partition of the key
+//! space, and a geometry proptest checks that per-shard configs stay
+//! well-formed.
 
 use proptest::prelude::*;
 use xcache_bench::{widx_geometry, Runner, Scenario};
 use xcache_core::{owner_of, shard_geometry, MetaKey, XCacheConfig};
 use xcache_dsa::{graphpulse, spgemm, widx, RunReport};
-use xcache_sim::{with_par_mode, with_par_threads, with_skip, ParMode};
+use xcache_sim::with_skip;
 use xcache_workloads::QueryClass;
 
 /// Every observable of a run, for byte-identity comparison.
@@ -73,72 +69,59 @@ fn small_graphpulse() -> graphpulse::GraphPulseWorkload {
     }
 }
 
-/// The tentpole determinism contract: one sharded simulation, every
-/// execution strategy — sequential reference, parallel with 2 and 4
-/// workers, and each of those inside a 1-job and a 2-job `Runner` grid —
-/// produces the same bytes.
-#[test]
-fn sharded_run_identical_across_par_modes_and_runner_jobs() {
-    let w = small_widx();
-    let g = widx_geometry(40);
-    let reference = fingerprint(&with_par_mode(ParMode::Seq, || {
-        widx::run_xcache_sharded(&w, Some(g.clone()), 4)
-    }));
+fn graphpulse_geometry() -> XCacheConfig {
+    XCacheConfig {
+        sets: 128,
+        ways: 1,
+        data_sectors: 128,
+        ..XCacheConfig::graphpulse()
+    }
+}
 
+/// Asserts `run` produces the same bytes in every host execution mode: once
+/// sequentially on the test thread (the reference), then as two copies in
+/// a 1-job `Runner` grid and in a 2-job grid, where the copies run in
+/// parallel on worker threads.
+fn assert_identical_across_runner_jobs(label: &str, run: &(dyn Fn() -> RunReport + Sync)) {
+    let reference = fingerprint(&run());
     for jobs in [1usize, 2] {
-        let cells: Vec<Scenario<'_, RunReport>> = [ParMode::Seq, ParMode::Par, ParMode::Par]
-            .into_iter()
-            .zip([1usize, 2, 4])
-            .map(|(mode, threads)| {
-                let (w, g) = (&w, &g);
-                Scenario::new(format!("{mode:?} x{threads}"), move || {
-                    with_par_mode(mode, || {
-                        with_par_threads(threads, || {
-                            widx::run_xcache_sharded(w, Some(g.clone()), 4)
-                        })
-                    })
-                })
-            })
+        let cells: Vec<Scenario<'_, RunReport>> = (0..2)
+            .map(|copy| Scenario::new(format!("{label} #{copy}"), run))
             .collect();
-        for (i, report) in Runner::with_jobs(jobs).run(cells).iter().enumerate() {
+        for (copy, report) in Runner::with_jobs(jobs).run(cells).iter().enumerate() {
             assert_eq!(
                 fingerprint(report),
                 reference,
-                "widx sharded cell {i} diverged from the sequential reference at {jobs} jobs"
+                "{label} sharded copy {copy} diverged from the sequential run at {jobs} jobs"
             );
         }
     }
 }
 
-/// Sequential/parallel identity for the other two accelerators, at a
-/// shard count that does not divide the workload evenly.
+/// The determinism contract: one sharded Widx simulation produces the
+/// same bytes run sequentially and in parallel inside 1-job and 2-job
+/// `Runner` grids.
+#[test]
+fn sharded_run_identical_across_par_modes_and_runner_jobs() {
+    let w = small_widx();
+    let g = widx_geometry(40);
+    assert_identical_across_runner_jobs("widx", &|| {
+        widx::run_xcache_sharded(&w, Some(g.clone()), 4)
+    });
+}
+
+/// The same contract for the other two accelerators, at a shard count
+/// that does not divide the workload evenly.
 #[test]
 fn sharded_spgemm_and_graphpulse_agree_across_modes() {
-    let w = small_spgemm();
-    let g = spgemm_geometry();
-    let seq = fingerprint(&with_par_mode(ParMode::Seq, || {
+    let (w, g) = (small_spgemm(), spgemm_geometry());
+    assert_identical_across_runner_jobs("spgemm", &|| {
         spgemm::run_xcache_sharded(&w, Some(g.clone()), 3)
-    }));
-    let par = fingerprint(&with_par_mode(ParMode::Par, || {
-        with_par_threads(2, || spgemm::run_xcache_sharded(&w, Some(g.clone()), 3))
-    }));
-    assert_eq!(seq, par, "sharded spgemm diverged between seq and par");
-
-    let w = small_graphpulse();
-    let sets = 128usize;
-    let g = XCacheConfig {
-        sets,
-        ways: 1,
-        data_sectors: sets,
-        ..XCacheConfig::graphpulse()
-    };
-    let seq = fingerprint(&with_par_mode(ParMode::Seq, || {
+    });
+    let (w, g) = (small_graphpulse(), graphpulse_geometry());
+    assert_identical_across_runner_jobs("graphpulse", &|| {
         graphpulse::run_xcache_sharded(&w, Some(g.clone()), 3)
-    }));
-    let par = fingerprint(&with_par_mode(ParMode::Par, || {
-        with_par_threads(4, || graphpulse::run_xcache_sharded(&w, Some(g.clone()), 3))
-    }));
-    assert_eq!(seq, par, "sharded graphpulse diverged between seq and par");
+    });
 }
 
 /// Idle-cycle fast-forwarding stays an invariant under sharding: the
@@ -151,12 +134,7 @@ fn sharded_skip_invariant() {
     let spgemm_w = small_spgemm();
     let spgemm_g = spgemm_geometry();
     let gp_w = small_graphpulse();
-    let gp_g = XCacheConfig {
-        sets: 128,
-        ways: 1,
-        data_sectors: 128,
-        ..XCacheConfig::graphpulse()
-    };
+    let gp_g = graphpulse_geometry();
     type NamedRun<'a> = (&'a str, Box<dyn Fn() -> RunReport + 'a>);
     let runs: Vec<NamedRun<'_>> = vec![
         (

@@ -107,9 +107,41 @@ pub use dataram::DataRam;
 pub use metatag::{EntryRef, LaunchProbe, MetaEntry, MetaTagArray, SetCounters};
 pub use msg::{MetaAccess, MetaKey, MetaResp};
 pub use shard::{
-    horizon_target, owner_of, shard_geometry, shards_from_env, ShardCell, DEFAULT_HORIZON,
-    DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, run_horizons, shard_geometry, shards_from_env, ShardCell,
+    DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
 };
 pub use stream::{StreamConfig, StreamReader};
 pub use taxonomy::{IdiomRow, TAXONOMY};
 pub use xreg::{XRegFile, XRegPool};
+
+/// Parallel-time tests of [`run_horizons`]: shards are modelled as
+/// concurrent controllers that interact only at horizon boundaries, so
+/// every boundary must observe every cell exactly at its target.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::shard::tests::build_cells;
+        use crate::{owner_of, run_horizons, MetaAccess, MetaKey};
+        use xcache_sim::Cycle;
+
+        #[test]
+        fn boundary_sees_advanced_cells() {
+            let mut cells = build_cells(3);
+            for key in 0..12u64 {
+                let key = MetaKey::new(key);
+                cells[owner_of(key, 3)].send(Cycle::ZERO, MetaAccess::Load { id: key.raw(), key });
+            }
+            let mut seen = Vec::new();
+            // 48-cycle horizons outlast the 32-cycle crossbar hop, so the
+            // cells step through delivered accesses, not only idle jumps.
+            run_horizons(&mut cells, Cycle::ZERO, |cells, t| {
+                for cell in cells.iter() {
+                    seen.push(cell.local_now());
+                    assert_eq!(cell.local_now(), t);
+                }
+                (t < Cycle(96)).then(|| t + 48)
+            });
+            assert_eq!(seen.len(), 9);
+        }
+    }
+}

@@ -7,15 +7,12 @@
 //! [`Link`]s. The DSA driver becomes a router: it hashes every access to
 //! its owner shard's inbox link and collects responses from the outbox
 //! links, interacting with the cells only at horizon boundaries (see
-//! [`run_horizons`](xcache_sim::run_horizons)).
+//! [`run_horizons`]).
 //!
-//! Determinism is structural, not locked-in by synchronization: the
-//! boundary callback runs single-threaded and drains outboxes in (cycle,
-//! shard, FIFO-sequence) order, cells share no mutable state, and each
-//! cell's advance depends only on its own state — so `XCACHE_PAR=seq` and
-//! the worker pool produce byte-identical statistics at any thread count.
-
-use std::sync::Mutex;
+//! Every cell advances on the calling thread. The boundary callback
+//! drains outboxes in (cycle, shard, FIFO-sequence) order, cells share no
+//! mutable state, and each cell's advance depends only on its own state
+//! and the target cycle, so a run is a pure function of its inputs.
 
 use xcache_mem::{Link, MemoryPort};
 use xcache_sim::{earliest, fast_forward, Cycle, Stats};
@@ -181,10 +178,10 @@ impl<D: MemoryPort> ShardCell<D> {
             self.outbox.send(now, resp.id, resp);
         }
     }
-}
 
-impl<D: MemoryPort + Send> xcache_sim::ParCell for ShardCell<D> {
-    fn advance(&mut self, to: Cycle) {
+    /// Brings the cell's local clock exactly to `to`, stepping only at
+    /// cycles where the controller or its inbox has work.
+    pub fn advance(&mut self, to: Cycle) {
         while self.local_now < to {
             let wake = earliest(
                 self.xc.next_event(self.local_now),
@@ -215,24 +212,15 @@ impl<D: MemoryPort + Send> xcache_sim::ParCell for ShardCell<D> {
 
 /// The next horizon boundary after `after`: at least `horizon` cycles
 /// out, stretched to the earliest cell wake-up when every cell is idle
-/// longer than that (so fully-parked topologies don't burn barriers).
+/// longer than that (so fully-parked topologies skip empty rounds).
 ///
-/// This is deliberately independent of skip mode and thread count — the
-/// boundary cadence is part of the deterministic contract.
-///
-/// # Panics
-///
-/// Panics if a cell lock is poisoned (a worker panicked).
+/// This is deliberately independent of skip mode — the boundary cadence
+/// is part of the deterministic contract.
 #[must_use]
-pub fn horizon_target<D: MemoryPort>(
-    cells: &[Mutex<ShardCell<D>>],
-    after: Cycle,
-    horizon: u64,
-) -> Cycle {
-    let mut wake = None;
-    for cell in cells {
-        wake = earliest(wake, cell.lock().expect("shard cell poisoned").next_wake());
-    }
+pub fn horizon_target<D: MemoryPort>(cells: &[ShardCell<D>], after: Cycle, horizon: u64) -> Cycle {
+    let wake = cells
+        .iter()
+        .fold(None, |wake, cell| earliest(wake, cell.next_wake()));
     let base = after + horizon.max(1);
     match wake {
         Some(w) if w > base && w != Cycle::NEVER => w,
@@ -240,11 +228,35 @@ pub fn horizon_target<D: MemoryPort>(
     }
 }
 
+/// Drives `cells` through horizon-synchronised time starting at `start`.
+///
+/// Per round, `boundary(cells, t)` drains responses, enqueues work and
+/// returns the next boundary cycle, or `None` to finish; then every cell
+/// advances to that target in shard order.
+///
+/// # Panics
+///
+/// Panics if `boundary` returns a target not strictly after the current
+/// boundary.
+pub fn run_horizons<D: MemoryPort>(
+    cells: &mut [ShardCell<D>],
+    start: Cycle,
+    mut boundary: impl FnMut(&mut [ShardCell<D>], Cycle) -> Option<Cycle>,
+) {
+    let mut t = start;
+    while let Some(next) = boundary(cells, t) {
+        assert!(next > t, "horizon target {next} must advance past {t}");
+        for cell in cells.iter_mut() {
+            cell.advance(next);
+        }
+        t = next;
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use xcache_mem::{DramConfig, DramModel};
-    use xcache_sim::{run_horizons, with_par_mode, with_par_threads, ParMode};
 
     fn array_walker() -> xcache_isa::WalkerProgram {
         xcache_isa::asm::assemble(
@@ -277,7 +289,7 @@ mod tests {
         .expect("valid walker")
     }
 
-    fn build_cells(shards: usize) -> Vec<ShardCell<DramModel>> {
+    pub(crate) fn build_cells(shards: usize) -> Vec<ShardCell<DramModel>> {
         let mut mem = xcache_mem::MainMemory::default();
         for key in 0..64u64 {
             mem.write_u64(0x1000 + key * 32, key * 3 + 7);
@@ -297,7 +309,7 @@ mod tests {
             .collect()
     }
 
-    fn run(shards: usize) -> (Cycle, u64, xcache_sim::StatsSnapshot) {
+    fn run(shards: usize) -> (Cycle, u64) {
         let mut cells = build_cells(shards);
         let total = 64u64;
         for key in 0..total {
@@ -313,9 +325,9 @@ mod tests {
         let mut done = 0u64;
         let mut checksum = 0u64;
         let mut end = Cycle::ZERO;
-        let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
-            for cell in cells {
-                let mut cell = cell.lock().unwrap();
+        run_horizons(&mut cells, Cycle::ZERO, |cells, t| {
+            for cell in cells.iter_mut() {
+                assert_eq!(cell.local_now(), t, "boundary sees every cell at {t}");
                 while let Some((at, resp)) = cell.recv_response(t) {
                     assert!(resp.found);
                     checksum = checksum.wrapping_add(resp.data[0]);
@@ -329,12 +341,7 @@ mod tests {
             assert!(t.raw() < 1_000_000, "sharded run hung at {done}/{total}");
             Some(horizon_target(cells, t, DEFAULT_HORIZON))
         });
-        let mut stats = Stats::new();
-        for cell in &cells {
-            cell.merge_stats_into(&mut stats);
-            stats.merge(cell.xcache().downstream().stats());
-        }
-        (end, checksum, stats.snapshot())
+        (end, checksum)
     }
 
     #[test]
@@ -366,17 +373,27 @@ mod tests {
 
     #[test]
     fn sharded_run_completes_and_checks() {
-        let (_, checksum, _) = run(2);
         let expected: u64 = (0..64u64).map(|k| k * 3 + 7).sum();
-        assert_eq!(checksum, expected);
+        for shards in [2, 3] {
+            let (end, checksum) = run(shards);
+            assert_eq!(checksum, expected, "{shards} shards");
+            assert!(end > Cycle::ZERO);
+        }
     }
 
     #[test]
     fn seq_and_par_runs_are_byte_identical() {
-        let reference = with_par_mode(ParMode::Seq, || run(3));
+        // A run is a pure function of its inputs: copies run in parallel
+        // on other threads reproduce the sequential run exactly.
+        let reference = run(3);
         for threads in [1, 2, 4] {
-            let par = with_par_mode(ParMode::Par, || with_par_threads(threads, || run(3)));
-            assert_eq!(par, reference, "par({threads} threads) diverged from seq");
+            std::thread::scope(|scope| {
+                let copies: Vec<_> = (0..threads).map(|_| scope.spawn(|| run(3))).collect();
+                for copy in copies {
+                    let par = copy.join().expect("run panicked");
+                    assert_eq!(par, reference, "{threads} parallel runs diverged from seq");
+                }
+            });
         }
     }
 
@@ -384,11 +401,5 @@ mod tests {
     fn shards_from_env_defaults() {
         // The test environment does not set XCACHE_SHARDS.
         assert_eq!(shards_from_env(4), 4);
-    }
-
-    #[test]
-    fn cells_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<ShardCell<DramModel>>();
     }
 }

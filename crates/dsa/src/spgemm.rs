@@ -23,8 +23,8 @@
 use xcache_sim::FxHashMap;
 
 use xcache_core::{
-    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, ShardCell, StreamConfig,
-    StreamReader, XCache, XCacheConfig, DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, run_horizons, shard_geometry, MetaAccess, MetaKey, ShardCell,
+    StreamConfig, StreamReader, XCache, XCacheConfig, DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
 };
 use xcache_isa::asm::assemble;
 use xcache_isa::WalkerProgram;
@@ -32,7 +32,7 @@ use xcache_mem::{
     AddressCache, BankGroup, BankGroupConfig, DramConfig, DramModel, MainMemory, MemoryPort,
     PortHandle, SharedPort,
 };
-use xcache_sim::{run_horizons, Cycle, Stats};
+use xcache_sim::{Cycle, Stats};
 use xcache_workloads::{CsrMatrix, MatrixLayout, SparsePattern};
 
 use crate::common::{apply_image, ProbeTask, RunReport, TaskStep};
@@ -618,7 +618,7 @@ fn drive_xcache_sharded(
         mac_busy_until = mac_busy_until.max(at) + n.div_ceil(4);
     };
 
-    let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
+    run_horizons(&mut cells, Cycle::ZERO, |cells, t| {
         bypass_port.tick(t);
         while !row_pending.is_empty() && bypass_port.can_accept() {
             let (i, a, k, s, e) = row_pending[0];
@@ -688,8 +688,7 @@ fn drive_xcache_sharded(
                 None => {}
             }
         }
-        for cell in cells {
-            let mut cell = cell.lock().expect("shard cell poisoned");
+        for cell in cells.iter_mut() {
             while let Some((at, resp)) = cell.recv_response(t) {
                 let idx = resp.id as usize;
                 let (i, _, a) = items[idx];
@@ -1016,21 +1015,18 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_oracle_and_modes_agree() {
-        use xcache_sim::{with_par_mode, with_par_threads, ParMode};
+        use xcache_sim::{with_exec_mode, ExecMode};
+        let fingerprint = |r: &RunReport| (r.cycles, r.checksum, r.stats.clone());
         for algorithm in [Algorithm::Gustavson, Algorithm::OuterProduct] {
             let w = small(algorithm);
-            let fingerprint = |r: &RunReport| (r.cycles, r.checksum, r.stats.clone());
-            let seq = with_par_mode(ParMode::Seq, || {
-                run_xcache_sharded(&w, Some(small_geometry()), 3)
-            });
-            assert!(seq.cycles > 0);
-            let par = with_par_mode(ParMode::Par, || {
-                with_par_threads(3, || run_xcache_sharded(&w, Some(small_geometry()), 3))
-            });
+            let run = || run_xcache_sharded(&w, Some(small_geometry()), 3);
+            let r = with_exec_mode(ExecMode::Macro, run);
+            assert_eq!(r.checksum, w.oracle_checksum());
+            assert!(r.cycles > 0);
             assert_eq!(
-                fingerprint(&par),
-                fingerprint(&seq),
-                "par diverged from seq"
+                fingerprint(&with_exec_mode(ExecMode::Micro, run)),
+                fingerprint(&r),
+                "micro-step executor diverged from macro-step"
             );
         }
     }

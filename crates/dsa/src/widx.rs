@@ -15,15 +15,15 @@
 //!   address-based cache and, hence, always walked").
 
 use xcache_core::{
-    horizon_target, owner_of, shard_geometry, MetaAccess, MetaKey, ShardCell, XCache, XCacheConfig,
-    DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
+    horizon_target, owner_of, run_horizons, shard_geometry, MetaAccess, MetaKey, ShardCell, XCache,
+    XCacheConfig, DEFAULT_HORIZON, DEFAULT_LINK_LATENCY,
 };
 use xcache_isa::asm::assemble;
 use xcache_isa::WalkerProgram;
 use xcache_mem::{
     AddressCache, BankGroup, BankGroupConfig, CacheConfig, DramConfig, DramModel, MainMemory,
 };
-use xcache_sim::{run_horizons, Cycle, Stats};
+use xcache_sim::{Cycle, Stats};
 use xcache_workloads::hashidx::NODE_BYTES;
 use xcache_workloads::{HashIndex, TpchPreset};
 
@@ -279,8 +279,7 @@ fn drive_xcache(
 /// instances, each owning an address-interleaved slice of the probe key
 /// space over its [`BankGroup`] view of the shared banked DRAM, with the
 /// driver routing probes over fixed-latency crossbar links. Execution is
-/// horizon-synchronized ([`run_horizons`]) and byte-deterministic across
-/// `XCACHE_PAR=seq|par` and any thread count.
+/// horizon-synchronized ([`run_horizons`]) on the calling thread.
 ///
 /// # Panics
 ///
@@ -362,9 +361,8 @@ fn drive_xcache_sharded(
     let mut checksum = 0u64;
     let mut end = Cycle::ZERO;
     let mut deadlocked = false;
-    let cells = run_horizons(cells, Cycle::ZERO, |cells, t| {
-        for cell in cells {
-            let mut cell = cell.lock().expect("shard cell poisoned");
+    run_horizons(&mut cells, Cycle::ZERO, |cells, t| {
+        for cell in cells.iter_mut() {
             while let Some((at, resp)) = cell.recv_response(t) {
                 if resp.found {
                     // Node layout: [key, rid, next, pad].
@@ -648,33 +646,26 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_oracle_and_modes_agree() {
-        use xcache_sim::{with_par_mode, with_par_threads, ParMode};
+        use xcache_sim::{with_exec_mode, ExecMode};
         let w = small_workload(12);
         let fingerprint = |r: &RunReport| (r.cycles, r.checksum, r.stats.clone());
-        let seq = with_par_mode(ParMode::Seq, || {
-            run_xcache_sharded(&w, Some(small_geometry()), 4)
-        });
-        assert!(seq.cycles > 0);
+        let run = || run_xcache_sharded(&w, Some(small_geometry()), 4);
+        let r = with_exec_mode(ExecMode::Macro, run);
+        assert_eq!(r.checksum, w.oracle_checksum());
+        assert!(r.cycles > 0);
         assert!(
-            seq.stats.get("xcache.hit") > 0,
+            r.stats.get("xcache.hit") > 0,
             "zipf stream must produce hits"
         );
         assert!(
-            seq.stats.get("bank.remote") > 0,
+            r.stats.get("bank.remote") > 0,
             "interleaved banks must see remote traffic"
         );
-        for threads in [1usize, 2, 4] {
-            let par = with_par_mode(ParMode::Par, || {
-                with_par_threads(threads, || {
-                    run_xcache_sharded(&w, Some(small_geometry()), 4)
-                })
-            });
-            assert_eq!(
-                fingerprint(&par),
-                fingerprint(&seq),
-                "par x{threads} diverged from seq"
-            );
-        }
+        assert_eq!(
+            fingerprint(&with_exec_mode(ExecMode::Micro, run)),
+            fingerprint(&r),
+            "micro-step executor diverged from macro-step"
+        );
     }
 
     #[test]

@@ -23,10 +23,12 @@
 
 use std::sync::Arc;
 
-use xcache_bench::{graphpulse_geometry, spgemm_geometry, widx_geometry, widx_workload, Cell};
+use xcache_bench::{
+    graphpulse_geometry, p2p08_pagerank, spgemm_geometry, widx_geometry, widx_workload, Cell,
+};
 use xcache_core::{splitmix64, XCacheConfig};
 use xcache_dsa::{dasx, graphpulse, spgemm, widx};
-use xcache_workloads::{CsrMatrix, Graph, GraphPreset, QueryClass, SparsePattern};
+use xcache_workloads::QueryClass;
 
 use crate::journal::checksum;
 use crate::json::{json_str, Value};
@@ -239,23 +241,11 @@ fn fig18_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
         out.push(CellSpec {
             label: format!("graphpulse {active}/{exe}"),
             run: Arc::new(move || {
-                let (n, e) = GraphPreset::P2pGnutella08.dims();
-                let n = (n / scale).max(64);
-                let e = (e / scale as usize).max(256);
-                let w = graphpulse::GraphPulseWorkload {
-                    graph: Graph::from_adjacency(CsrMatrix::generate(
-                        n,
-                        n,
-                        e,
-                        SparsePattern::RMat,
-                        seed,
-                    )),
-                    iterations: 2,
-                };
+                let w = p2p08_pagerank(scale, seed);
                 let g = XCacheConfig {
                     active,
                     exe,
-                    ..graphpulse_geometry(n)
+                    ..graphpulse_geometry(w.graph.vertices())
                 };
                 let cycles = graphpulse::run_xcache(&w, Some(g)).cycles;
                 xcache_bench::note_sim_cycles(cycles);
@@ -347,20 +337,8 @@ fn fig14_cells(scale: u32, seed: u64) -> Vec<CellSpec> {
     out.push(CellSpec {
         label: "GraphPulse p2p-08".into(),
         run: Arc::new(move || {
-            let (n, e) = GraphPreset::P2pGnutella08.dims();
-            let n = (n / scale).max(64);
-            let e = (e / scale as usize).max(256);
-            let w = graphpulse::GraphPulseWorkload {
-                graph: Graph::from_adjacency(CsrMatrix::generate(
-                    n,
-                    n,
-                    e,
-                    SparsePattern::RMat,
-                    seed,
-                )),
-                iterations: 2,
-            };
-            let g = graphpulse_geometry(n);
+            let w = p2p08_pagerank(scale, seed);
+            let g = graphpulse_geometry(w.graph.vertices());
             let run = xcache_bench::DsaRun {
                 name: "GraphPulse p2p-08".into(),
                 geometry: g.clone(),

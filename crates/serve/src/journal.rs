@@ -373,7 +373,7 @@ impl CheckpointStore for Journal {
 /// the env knobs that shape results).
 #[must_use]
 pub fn manifest_value(job_id: &str, spec: &Value) -> Value {
-    let knobs = ["XCACHE_FAULT_SPEC", "XCACHE_FAULT_SEED", "XCACHE_PAR"]
+    let knobs = ["XCACHE_FAULT_SPEC", "XCACHE_FAULT_SEED"]
         .iter()
         .filter_map(|k| {
             std::env::var(k)

@@ -29,7 +29,6 @@ mod context;
 pub mod env;
 mod fault;
 mod fxhash;
-mod parallel;
 mod prof;
 mod queue;
 mod skip;
@@ -43,10 +42,6 @@ pub use context::SimContext;
 pub use env::{env_flag, env_parse, env_parse_map, exit2, EnvError};
 pub use fault::{with_fault_plan, FaultHit, FaultKind, FaultPlan};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use parallel::{
-    par_mode, par_threads, parallel_fallbacks, run_horizons, with_par_mode, with_par_threads,
-    ParCell, ParMode,
-};
 pub use prof::{prof_enabled, prof_record, prof_reset, prof_snapshot, ProfEntry, ProfGuard};
 pub use queue::{MsgQueue, PushError};
 pub use skip::{
